@@ -360,12 +360,12 @@ fn loaded_core_wide(n: usize, par: Parallelism) -> BrokerCore {
 
 /// Single-broker ingestion throughput, monolithic vs pipelined: the
 /// same 256-publication broker batch applied in 64-message runs
-/// either by `handle_batch` alone or split runtime-style — an ingest
-/// thread pre-matching each run under a read lock while the apply
-/// stage commits the previous one under the write lock. On one
-/// hardware thread the two run at par (the split only pays once the
-/// stages land on different cores); the bench exists to price the
-/// pipeline's overhead and catch regressions in the prematch path.
+/// either by `handle_batch` alone or split across two threads — an
+/// ingest thread pre-matching each run under a read lock while the
+/// apply stage commits the previous one under the write lock. The two
+/// run at par, which is why the runtimes keep one thread per broker
+/// (DESIGN.md §12); the bench prices the split's overhead and catches
+/// regressions in the prematch path.
 fn bench_broker_pipeline(c: &mut Criterion) {
     const N: usize = 10_000;
     const BATCH: usize = 256;

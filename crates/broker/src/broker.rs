@@ -308,10 +308,12 @@ pub struct BrokerStats {
 
 /// Routes pre-computed by [`BrokerCore::prematch`] for the publish
 /// messages of one batch, in batch order, stamped with the routing
-/// version they were matched under. The *match* stage of a pipelined
-/// broker loop produces one of these under a read lock; the *apply*
-/// stage consumes it under the write lock, falling back to fresh
-/// matching if the stamp has gone stale.
+/// version they were matched under. This is the hand-off of a
+/// stage-split batch: the *match* stage (`prematch`, `&self`) produces
+/// it and the *apply* stage ([`BrokerCore::handle_batch_prematched`],
+/// `&mut self`) consumes it, falling back to fresh matching if the
+/// stamp has gone stale. The split lets a caller time or trace the two
+/// stages separately; the runtimes apply batches in one call.
 #[derive(Debug, Clone)]
 pub struct PrematchedRoutes {
     version: u64,
@@ -480,13 +482,13 @@ impl BrokerCore {
     }
 
     /// Matches a batch's publications against the *current* routing
-    /// state without mutating anything: the read-locked *match* stage
-    /// of a pipelined broker loop. The result is stamped with
-    /// [`BrokerCore::routing_version`]; the write-locked *apply* stage
+    /// state without mutating anything: the *match* stage of a
+    /// stage-split batch. The result is stamped with
+    /// [`BrokerCore::routing_version`]; the *apply* stage
     /// ([`BrokerCore::handle_batch_prematched`]) consumes the routes
     /// only while the stamp still matches, so a movement commit or
-    /// subscription churn sneaking in between simply invalidates the
-    /// pre-computation instead of corrupting routing.
+    /// subscription churn applied between the two stages simply
+    /// invalidates the pre-computation instead of corrupting routing.
     pub fn prematch(&self, contents: &[Publication]) -> PrematchedRoutes {
         PrematchedRoutes {
             version: self.prt.routing_version(),

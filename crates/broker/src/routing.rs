@@ -392,9 +392,10 @@ pub struct Prt {
     /// Routing-state version: bumped by every mutable access that
     /// could change what [`Prt::matching_routes_batch`] answers (row
     /// churn *and* hop/pending bookkeeping through the mutable
-    /// accessors, counted conservatively). The pipelined broker loops
-    /// stamp pre-computed routes with this and discard them if the
-    /// table has moved on ([`Prt::routing_version`]).
+    /// accessors, counted conservatively). A stage-split batch
+    /// (`BrokerCore::prematch`) stamps its pre-computed routes with
+    /// this and discards them if the table has moved on
+    /// ([`Prt::routing_version`]).
     version: u64,
 }
 

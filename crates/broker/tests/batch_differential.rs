@@ -313,8 +313,8 @@ proptest! {
     }
 }
 
-/// The publications of a message run, in order — what the pipelined
-/// drivers feed to `prematch`.
+/// The publications of a message run, in order — what a stage-split
+/// caller feeds to `prematch`.
 fn contents_of(run: &[PubSubMsg]) -> Vec<Publication> {
     run.iter()
         .filter_map(|m| match m {
@@ -327,7 +327,7 @@ fn contents_of(run: &[PubSubMsg]) -> Vec<Publication> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The pipelined ingestion path — `prematch` under a fresh stamp,
+    /// The stage-split ingestion path — `prematch` under a fresh stamp,
     /// then `handle_batch_prematched` — is a pure transport
     /// optimization exactly like `handle_batch`: same flat effects and
     /// same final state as the one-message fold. Runs that mix
@@ -379,9 +379,9 @@ proptest! {
         prop_assert_eq!(state_json(&folded), state_json(&batched));
     }
 
-    /// The pipeline race, deterministically: routes are pre-computed,
-    /// *then* a movement transaction commits or aborts (bumping the
-    /// routing version — the apply stage's write-lock window), and
+    /// A mutation between the stages, deterministically: routes are
+    /// pre-computed, *then* a movement transaction commits or aborts
+    /// (bumping the routing version), and
     /// only then is the batch applied with the now-stale routes. The
     /// stamp mismatch must force a recomputation: results equal the
     /// fold that never saw the stale routes.

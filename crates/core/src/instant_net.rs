@@ -88,15 +88,6 @@ impl InstantNet {
         InstantNetBuilder::default()
     }
 
-    /// Builds a network over `topology`, all brokers sharing `config`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use InstantNet::builder().overlay(..).options(..).start()"
-    )]
-    pub fn new(topology: Topology, config: MobileBrokerConfig) -> Self {
-        Self::from_parts(topology, config)
-    }
-
     fn from_parts(topology: Topology, config: MobileBrokerConfig) -> Self {
         let topology = Arc::new(topology);
         let brokers = topology

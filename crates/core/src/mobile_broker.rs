@@ -747,14 +747,14 @@ impl MobileBroker {
         self.handle_batch_apply(from, msgs, None)
     }
 
-    /// The read-locked *match* stage of a pipelined broker loop:
-    /// matches the batch's publications against the current routing
-    /// state without mutating anything, stamped with the routing
-    /// version (see [`BrokerCore::prematch`]). Hand the result to
-    /// [`MobileBroker::handle_batch_prematched`]; a concurrent
-    /// mutation (movement commit, subscription churn) between the two
-    /// calls merely invalidates the stamp and the apply stage
-    /// re-matches — results are identical either way.
+    /// The *match* stage of a stage-split batch: matches the batch's
+    /// publications against the current routing state without
+    /// mutating anything, stamped with the routing version (see
+    /// [`BrokerCore::prematch`]). Hand the result to
+    /// [`MobileBroker::handle_batch_prematched`]; a mutation (movement
+    /// commit, subscription churn) applied between the two calls
+    /// merely invalidates the stamp and the apply stage re-matches —
+    /// results are identical either way.
     pub fn prematch(&self, msgs: &[Message]) -> PrematchedRoutes {
         let contents: Vec<Publication> = msgs
             .iter()
@@ -768,8 +768,7 @@ impl MobileBroker {
 
     /// [`MobileBroker::handle_batch`] consuming the routes
     /// pre-computed by [`MobileBroker::prematch`] over the same
-    /// message sequence (the write-locked *apply* stage of a pipelined
-    /// broker loop).
+    /// message sequence (the *apply* stage of a stage-split batch).
     pub fn handle_batch_prematched(
         &mut self,
         from: Hop,

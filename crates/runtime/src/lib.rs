@@ -41,24 +41,23 @@
 #![warn(missing_debug_implementations)]
 
 pub mod codec;
+mod host;
 pub mod tcp;
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::fmt;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
-use transmob_broker::{Hop, OverlayBuilder, PrematchedRoutes, Topology};
-use transmob_core::transport::{flush_outputs, Transport};
+use transmob_broker::{OverlayBuilder, Topology};
 use transmob_core::{
-    ClientOp, Message, MobileBroker, MobileBrokerConfig, NetworkOptions, Output, ProtocolKind,
-    TimerToken,
+    ClientOp, Message, MobileBroker, MobileBrokerConfig, NetworkOptions, ProtocolKind,
 };
 use transmob_pubsub::{BrokerId, ClientId, Filter, MoveId, Publication, PublicationMsg};
+
+use host::{BrokerLink, Input, Registry};
 
 /// The outcome of a movement, delivered to the issuing client's handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,39 +68,15 @@ pub struct MoveOutcome {
     pub committed: bool,
 }
 
-enum Envelope {
-    FromBroker(BrokerId, Vec<Message>),
-    FromClient(ClientId, ClientOp),
-    CreateClient(ClientId),
-    Shutdown,
-}
-
-impl fmt::Debug for Envelope {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Envelope::FromBroker(b, m) => write!(f, "FromBroker({b}, {} msgs)", m.len()),
-            Envelope::FromClient(c, _) => write!(f, "FromClient({c}, ..)"),
-            Envelope::CreateClient(c) => write!(f, "CreateClient({c})"),
-            Envelope::Shutdown => f.write_str("Shutdown"),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    homes: BTreeMap<ClientId, BrokerId>,
-    deliveries: BTreeMap<ClientId, Sender<PublicationMsg>>,
-    move_events: BTreeMap<ClientId, Sender<MoveOutcome>>,
-}
-
 #[derive(Debug)]
 struct Shared {
     topology: Arc<Topology>,
-    senders: BTreeMap<BrokerId, Sender<Envelope>>,
+    senders: BTreeMap<BrokerId, Sender<Input>>,
     registry: RwLock<Registry>,
 }
 
-/// A running broker network: one thread per broker.
+/// A running broker network: one thread per broker, each running the
+/// shared host loop over in-process channels.
 ///
 /// Shut it down explicitly with [`Network::shutdown`]; dropping the
 /// handle also stops the threads (without blocking indefinitely on a
@@ -117,16 +92,6 @@ impl Network {
     /// .options(..).start()`.
     pub fn builder() -> NetworkBuilder {
         NetworkBuilder::default()
-    }
-
-    /// Starts one broker thread per topology node, all configured with
-    /// `config`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Network::builder().overlay(..).options(..).start()"
-    )]
-    pub fn start(topology: Topology, config: MobileBrokerConfig) -> Self {
-        Self::from_parts(topology, config)
     }
 
     fn from_parts(topology: Topology, config: MobileBrokerConfig) -> Self {
@@ -146,12 +111,14 @@ impl Network {
         let handles = receivers
             .into_iter()
             .map(|(b, rx)| {
-                let shared = Arc::clone(&shared);
-                let config = config.clone();
-                let topology = Arc::clone(&topology);
+                let broker = MobileBroker::new(b, Arc::clone(&topology), config.clone());
+                let link = ChannelLink {
+                    id: b,
+                    shared: Arc::clone(&shared),
+                };
                 std::thread::Builder::new()
                     .name(format!("broker-{b}"))
-                    .spawn(move || broker_main(b, topology, config, rx, shared))
+                    .spawn(move || host::run(broker, link, Vec::new(), rx))
                     .expect("spawn broker thread")
             })
             .collect();
@@ -171,26 +138,15 @@ impl Network {
     /// Panics if `broker` is not in the topology or the client id is
     /// already in use.
     pub fn create_client(&self, broker: BrokerId, id: ClientId) -> Client {
-        let (dtx, drx) = unbounded();
-        let (mtx, mrx) = unbounded();
-        {
-            let mut reg = self.shared.registry.write();
-            assert!(
-                !reg.homes.contains_key(&id),
-                "client id {id} already in use"
-            );
-            reg.homes.insert(id, broker);
-            reg.deliveries.insert(id, dtx);
-            reg.move_events.insert(id, mtx);
-        }
+        let (deliveries, moves) = self.shared.registry.write().register(id, broker);
         self.shared.senders[&broker]
-            .send(Envelope::CreateClient(id))
+            .send(Input::CreateClient(id))
             .expect("broker thread alive");
         Client {
             id,
             shared: Arc::clone(&self.shared),
-            deliveries: drx,
-            moves: mrx,
+            deliveries,
+            moves,
         }
     }
 
@@ -206,7 +162,7 @@ impl Network {
 
     fn stop_threads(&mut self) {
         for tx in self.shared.senders.values() {
-            let _ = tx.send(Envelope::Shutdown);
+            let _ = tx.send(Input::Shutdown);
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -246,7 +202,7 @@ impl Client {
             .get(&self.id)
             .copied()
             .expect("client registered");
-        let _ = self.shared.senders[&home].send(Envelope::FromClient(self.id, op));
+        let _ = self.shared.senders[&home].send(Input::FromClient(self.id, op));
     }
 
     /// Issues a subscription.
@@ -328,235 +284,24 @@ impl Client {
     }
 }
 
-/// Depth of the staged channel between a broker's ingest and apply
-/// stages. Small on purpose: it bounds how stale a pre-computed match
-/// can get (staleness is correctness-neutral — the apply stage
-/// re-matches — but wasted work) while still letting the ingest stage
-/// decode and match the next batch concurrently with the apply stage.
-const PIPELINE_DEPTH: usize = 2;
-
-/// A unit of work handed from the ingest stage to the apply stage.
-enum Staged {
-    /// An envelope forwarded verbatim.
-    Env(Envelope),
-    /// A broker batch whose publications were already matched against
-    /// the routing state under a read lock, stamped with the routing
-    /// version (see [`MobileBroker::prematch`]).
-    Prematched(BrokerId, Vec<Message>, PrematchedRoutes),
-}
-
-/// The per-broker *pipelined* driver: two threads per broker.
-///
-/// - The **ingest** stage (this function spawns it) pulls envelopes
-///   off the network channel and, for multi-message broker batches,
-///   pre-computes the publication routes under a *read* lock of the
-///   broker — concurrent with the apply stage committing the previous
-///   batch.
-/// - The **apply** stage (this function) owns the timer heap, takes
-///   the *write* lock for every state mutation, and consumes the
-///   pre-computed routes when their version stamp still matches;
-///   routing-state churn between the stages (a movement commit, a
-///   subscription) just invalidates the stamp and the routes are
-///   recomputed under the write lock.
-///
-/// All envelopes — prematched or not — flow through the same bounded
-/// channel, so per-broker FIFO ordering is preserved exactly as in the
-/// single-threaded loop.
-fn broker_main(
+/// [`BrokerLink`] over the in-process crossbeam channels: a send batch
+/// rides one [`Input::FromBroker`] into the neighbour's inbox.
+struct ChannelLink {
     id: BrokerId,
-    topology: Arc<Topology>,
-    config: MobileBrokerConfig,
-    rx: Receiver<Envelope>,
     shared: Arc<Shared>,
-) {
-    let broker = Arc::new(RwLock::new(MobileBroker::new(id, topology, config)));
-    let (stage_tx, stage_rx) = bounded::<Staged>(PIPELINE_DEPTH);
-    let ingest = {
-        let broker = Arc::clone(&broker);
-        std::thread::Builder::new()
-            .name(format!("broker-{id}-ingest"))
-            .spawn(move || ingest_main(broker, rx, stage_tx))
-            .expect("spawn ingest thread")
-    };
-    apply_main(id, &broker, stage_rx, &shared);
-    // `apply_main` only returns once the staged channel delivered
-    // Shutdown or disconnected, and the ingest stage stops right after
-    // forwarding Shutdown, so this join cannot hang on a healthy
-    // network.
-    let _ = ingest.join();
 }
 
-/// The ingest stage: read-locked pre-matching, no state mutation.
-fn ingest_main(
-    broker: Arc<RwLock<MobileBroker>>,
-    rx: Receiver<Envelope>,
-    stage_tx: Sender<Staged>,
-) {
-    for envelope in rx.iter() {
-        let staged = match envelope {
-            Envelope::FromBroker(from, msgs) if msgs.len() > 1 => {
-                let pre = broker.read().prematch(&msgs);
-                Staged::Prematched(from, msgs, pre)
-            }
-            Envelope::Shutdown => {
-                let _ = stage_tx.send(Staged::Env(Envelope::Shutdown));
-                return;
-            }
-            e => Staged::Env(e),
-        };
-        if stage_tx.send(staged).is_err() {
-            return; // apply stage gone
-        }
+impl BrokerLink for ChannelLink {
+    fn registry(&self) -> &RwLock<Registry> {
+        &self.shared.registry
     }
-}
 
-/// The apply stage: owns the timer heap; every broker mutation runs
-/// under the write lock.
-fn apply_main(
-    id: BrokerId,
-    broker: &RwLock<MobileBroker>,
-    stage_rx: Receiver<Staged>,
-    shared: &Shared,
-) {
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    let mut cancelled: BTreeSet<TimerToken> = BTreeSet::new();
-    loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            timers.pop();
-            if cancelled.remove(&token) {
-                continue;
-            }
-            let outs = broker.write().handle_timer(token);
-            dispatch(id, shared, &mut timers, &mut cancelled, outs);
-        }
-        // Wait for the next staged item or the next timer deadline.
-        let staged = match timers.peek() {
-            Some(Reverse((deadline, _))) => {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match stage_rx.recv_timeout(wait) {
-                    Ok(e) => e,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                }
-            }
-            None => match stage_rx.recv() {
-                Ok(e) => e,
-                Err(_) => return,
-            },
-        };
-        match staged {
-            Staged::Prematched(from, msgs, pre) => {
-                let outs = broker
-                    .write()
-                    .handle_batch_prematched(Hop::Broker(from), msgs, pre);
-                dispatch(id, shared, &mut timers, &mut cancelled, outs);
-            }
-            Staged::Env(Envelope::Shutdown) => return,
-            Staged::Env(Envelope::CreateClient(c)) => broker.write().create_client(c),
-            Staged::Env(Envelope::FromClient(c, op)) => {
-                if broker.read().client(c).is_none() {
-                    // The client moved away while the command was in
-                    // flight; forward it to the current home (the
-                    // registry is updated before the source cleans up,
-                    // so re-resolution always progresses).
-                    let home = shared.registry.read().homes.get(&c).copied();
-                    match home {
-                        Some(h) if h != id => {
-                            let _ = shared.senders[&h].send(Envelope::FromClient(c, op));
-                        }
-                        _ => {} // client gone entirely: drop
-                    }
-                    continue;
-                }
-                let outs = broker.write().client_op(c, op);
-                dispatch(id, shared, &mut timers, &mut cancelled, outs);
-            }
-            Staged::Env(Envelope::FromBroker(from, msgs)) => {
-                let outs = broker.write().handle_batch(Hop::Broker(from), msgs);
-                dispatch(id, shared, &mut timers, &mut cancelled, outs);
-            }
-        }
-    }
-}
-
-fn dispatch(
-    id: BrokerId,
-    shared: &Shared,
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &mut BTreeSet<TimerToken>,
-    outs: Vec<Output>,
-) {
-    let mut flush = ChannelFlush {
-        id,
-        shared,
-        timers,
-        cancelled,
-    };
-    flush_outputs(&mut flush, outs);
-}
-
-/// [`Transport`] over the in-process crossbeam channels: consecutive
-/// sends to the same neighbor ride one [`Envelope::FromBroker`].
-struct ChannelFlush<'a> {
-    id: BrokerId,
-    shared: &'a Shared,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &'a mut BTreeSet<TimerToken>,
-}
-
-impl Transport for ChannelFlush<'_> {
     fn send_batch(&mut self, to: BrokerId, msgs: Vec<Message>) {
-        let _ = self.shared.senders[&to].send(Envelope::FromBroker(self.id, msgs));
+        let _ = self.shared.senders[&to].send(Input::FromBroker(self.id, msgs));
     }
 
-    fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
-        let reg = self.shared.registry.read();
-        if let Some(tx) = reg.deliveries.get(&client) {
-            for p in publications {
-                let _ = tx.send(p);
-            }
-        }
-    }
-
-    fn control(&mut self, output: Output) {
-        match output {
-            Output::SetTimer { token, delay_ns } => {
-                self.cancelled.remove(&token);
-                self.timers.push(Reverse((
-                    Instant::now() + Duration::from_nanos(delay_ns),
-                    token,
-                )));
-            }
-            Output::CancelTimer { token } => {
-                self.cancelled.insert(token);
-            }
-            Output::MoveFinished {
-                m,
-                client,
-                committed,
-            } => {
-                // The home registry was already flipped by the target's
-                // `ClientArrived` for committed moves; here we only
-                // signal the outcome to the client handle.
-                let reg = self.shared.registry.read();
-                if let Some(tx) = reg.move_events.get(&client) {
-                    let _ = tx.send(MoveOutcome { m, committed });
-                }
-            }
-            Output::ClientArrived { m: _, client } => {
-                // Commands issued from now on route to the new home.
-                let mut reg = self.shared.registry.write();
-                reg.homes.insert(client, self.id);
-            }
-            Output::Send { .. } | Output::DeliverToApp { .. } => {
-                unreachable!("flush_outputs routes batchable effects to the batch verbs")
-            }
-        }
+    fn forward(&self, to: BrokerId, input: Input) {
+        let _ = self.shared.senders[&to].send(input);
     }
 }
 
@@ -694,10 +439,9 @@ mod tests {
         net.shutdown();
     }
 
-    /// The pipeline's contended path: a publisher floods broker
-    /// batches (the ingest stage pre-matching under the read lock)
-    /// while the subscriber's movement transactions commit (the apply
-    /// stage holding the write lock and bumping the routing version).
+    /// Contention on the broker threads: a publisher floods broker
+    /// batches while the subscriber's movement transactions commit and
+    /// rewrite the routing state along its path.
     /// Every move must commit, deliveries must stay duplicate-free,
     /// and routing must keep following the subscriber afterwards.
     #[test]

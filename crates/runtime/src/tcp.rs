@@ -9,11 +9,11 @@
 //! with [`crate::Network`].
 //!
 //! Frames written during one `OutputBatch` are buffered and flushed
-//! with a single syscall per touched link ([`TcpFlush`] tracks the
-//! touched set), so the coalescer's batching survives all the way to
-//! the socket. Per-link [`LinkStats`] count frames, flushes, decode
-//! failures, serialize failures and publication drops, and a link
-//! taken down records *why* ([`TcpNetwork::link_stats`]).
+//! with a single syscall per touched link (the broker's `TcpLink`
+//! tracks the touched set), so the coalescer's batching survives all
+//! the way to the socket. Per-link [`LinkStats`] count frames,
+//! flushes, decode failures, serialize failures and publication drops,
+//! and a link taken down records *why* ([`TcpNetwork::link_stats`]).
 //!
 //! # Failure detection and crash recovery
 //!
@@ -48,8 +48,7 @@
 //! net.shutdown();
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,17 +56,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use transmob_broker::{Hop, OverlayBuilder, PrematchedRoutes, PubSubMsg, Topology};
-use transmob_core::transport::{flush_outputs, Transport};
+use transmob_broker::{OverlayBuilder, PubSubMsg, Topology};
 use transmob_core::{
     ClientOp, DurabilityLog, MemoryLog, Message, MobileBroker, MobileBrokerConfig, NetworkOptions,
-    Output, TimerToken,
+    Output,
 };
 use transmob_pubsub::{BrokerId, ClientId, Filter, Publication, PublicationMsg};
 
 use crate::codec::{Frame, FrameDecoder, FrameEncoder, ReadError, WireMode};
+use crate::host::{self, BrokerLink, Input, Registry};
 use crate::MoveOutcome;
 
 /// Default heartbeat period: each broker pings every live link this
@@ -190,7 +189,7 @@ pub struct LinkStats {
     /// Frames successfully written (not necessarily flushed yet).
     pub frames_sent: u64,
     /// Successful flush syscalls that pushed buffered frames out. The
-    /// dispatch loop flushes once per `OutputBatch`, so under batched
+    /// broker host flushes once per `OutputBatch`, so under batched
     /// load this stays well below `frames_sent`.
     pub flushes: u64,
     /// Frames that failed to serialize (JSON mode only — binary
@@ -210,20 +209,6 @@ pub struct LinkStats {
     pub connects: u64,
     /// Why the link last went down (`None` if it never did).
     pub down_reason: Option<String>,
-}
-
-enum Input {
-    FromBroker(BrokerId, Vec<Message>),
-    FromClient(ClientId, ClientOp),
-    CreateClient(ClientId),
-    Shutdown,
-}
-
-#[derive(Debug, Default)]
-struct Registry {
-    homes: BTreeMap<ClientId, BrokerId>,
-    deliveries: BTreeMap<ClientId, Sender<PublicationMsg>>,
-    move_events: BTreeMap<ClientId, Sender<MoveOutcome>>,
 }
 
 /// One endpoint of an overlay link (this broker's writer toward one
@@ -400,64 +385,6 @@ impl TcpNetwork {
         TcpNetworkBuilder::default()
     }
 
-    /// Binds one loopback listener per broker on an ephemeral port,
-    /// connects every overlay edge, and starts the broker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind/connect and thread-spawn errors; any
-    /// threads already started are shut down and joined before the
-    /// error is returned.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TcpNetwork::builder().overlay(..).options(..).start()"
-    )]
-    pub fn start(topology: Topology, config: MobileBrokerConfig) -> io::Result<TcpNetwork> {
-        Self::start_inner(topology, config, TcpOptions::default(), |_| {
-            "127.0.0.1:0".to_string()
-        })
-    }
-
-    /// Like `TcpNetwork::start`, but with explicit transport options
-    /// (frame codec, down-queue bound) and bind addresses.
-    ///
-    /// # Errors
-    ///
-    /// Same as `TcpNetwork::start_with`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TcpNetwork::builder().overlay(..).options(..).tcp(..).bind(..).start()"
-    )]
-    pub fn start_with_options(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        options: TcpOptions,
-        bind_addr: impl FnMut(BrokerId) -> String,
-    ) -> io::Result<TcpNetwork> {
-        Self::start_inner(topology, config, options, bind_addr)
-    }
-
-    /// Like `TcpNetwork::start`, but binds each broker's listener at
-    /// the address chosen by `bind_addr` (e.g. fixed ports for a
-    /// firewall-pinned deployment). Port `0` picks an ephemeral port.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket bind/connect and thread-spawn errors — a
-    /// colliding or unbindable address reports `AddrInUse` (or the
-    /// underlying error) instead of aborting the process.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TcpNetwork::builder().overlay(..).options(..).bind(..).start()"
-    )]
-    pub fn start_with(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        bind_addr: impl FnMut(BrokerId) -> String,
-    ) -> io::Result<TcpNetwork> {
-        Self::start_inner(topology, config, TcpOptions::default(), bind_addr)
-    }
-
     fn start_inner(
         topology: Topology,
         config: MobileBrokerConfig,
@@ -552,10 +479,14 @@ impl TcpNetwork {
         initial_outs: Vec<Output>,
         rx: Receiver<Input>,
     ) -> io::Result<()> {
-        let shared = Arc::clone(&self.shared);
+        let link = TcpLink {
+            id: b,
+            shared: Arc::clone(&self.shared),
+            touched: BTreeSet::new(),
+        };
         let handle = std::thread::Builder::new()
             .name(format!("tcp-broker-{b}"))
-            .spawn(move || tcp_broker_main(b, broker, initial_outs, rx, shared))
+            .spawn(move || host::run(broker, link, initial_outs, rx))
             .map_err(|e| io::Error::new(e.kind(), format!("spawn broker thread {b}: {e}")))?;
         self.broker_handles.lock().insert(b, handle);
         Ok(())
@@ -568,24 +499,13 @@ impl TcpNetwork {
     ///
     /// Panics if the client id is already in use.
     pub fn create_client(&self, broker: BrokerId, id: ClientId) -> TcpClient {
-        let (dtx, drx) = unbounded();
-        let (mtx, mrx) = unbounded();
-        {
-            let mut reg = self.shared.registry.write();
-            assert!(
-                !reg.homes.contains_key(&id),
-                "client id {id} already in use"
-            );
-            reg.homes.insert(id, broker);
-            reg.deliveries.insert(id, dtx);
-            reg.move_events.insert(id, mtx);
-        }
+        let (deliveries, moves) = self.shared.registry.write().register(id, broker);
         let _ = self.shared.inputs.read()[&broker].send(Input::CreateClient(id));
         TcpClient {
             id,
             shared: Arc::clone(&self.shared),
-            deliveries: drx,
-            moves: mrx,
+            deliveries,
+            moves,
         }
     }
 
@@ -937,7 +857,7 @@ fn ensure_link(shared: &Shared, owner: BrokerId, peer: BrokerId) -> Arc<Link> {
 }
 
 /// Writes one protocol-message frame on `owner`'s link to `peer`
-/// **without flushing** — the dispatch loop flushes each touched link
+/// **without flushing** — the broker host flushes each touched link
 /// once per `OutputBatch` ([`flush_link`]). While the link is down the
 /// messages queue un-encoded (the binary string table belongs to a
 /// single connection), bounded by the down-queue high-water mark.
@@ -1590,276 +1510,78 @@ fn spawn_acceptor(shared: &Arc<Shared>, owner: BrokerId, listener: TcpListener) 
 }
 
 // ---------------------------------------------------------------------
-// Broker main loop
+// Broker host link
 // ---------------------------------------------------------------------
 
-/// Depth of the staged channel between a TCP broker's ingest and apply
-/// stages — see [`crate`]'s in-process pipeline for the rationale.
-const TCP_PIPELINE_DEPTH: usize = 2;
-
-/// A unit of work handed from the TCP ingest stage to the apply stage.
-enum TcpStaged {
-    /// An input forwarded verbatim.
-    In(Input),
-    /// A broker frame whose publications were matched against the
-    /// routing state under a read lock, stamped with the routing
-    /// version (see [`MobileBroker::prematch`]).
-    Prematched(BrokerId, Vec<Message>, PrematchedRoutes),
-}
-
-/// The per-broker TCP driver, pipelined like the in-process runtime:
-/// an **ingest** stage deserialized frames already (the reader
-/// threads) and pre-matches multi-message broker batches under a read
-/// lock, while the **apply** stage owns the timer heap and the
-/// heartbeat clock and commits every mutation under the write lock.
-/// All inputs flow through one bounded channel, preserving the
-/// single-threaded loop's FIFO order; a stale pre-match (routing churn
-/// between the stages) is detected by its version stamp and recomputed.
-fn tcp_broker_main(
+/// [`BrokerLink`] for one broker on the TCP overlay: a send batch
+/// becomes one wire frame buffered on the link, and the links written
+/// to are remembered in `touched` and flushed **once per
+/// `OutputBatch`** — N frames, one flush syscall per destination. The
+/// tick sends heartbeats and runs the acceptor-side failure detector.
+struct TcpLink {
     id: BrokerId,
-    broker: MobileBroker,
-    initial_outs: Vec<Output>,
-    rx: Receiver<Input>,
     shared: Arc<Shared>,
-) {
-    let broker = Arc::new(RwLock::new(broker));
-    let (stage_tx, stage_rx) = bounded::<TcpStaged>(TCP_PIPELINE_DEPTH);
-    let ingest = {
-        let broker = Arc::clone(&broker);
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name(format!("tcp-broker-{id}-ingest"))
-            .spawn(move || tcp_ingest_main(broker, rx, stage_tx, shared))
-    };
-    tcp_apply_main(id, &broker, initial_outs, stage_rx, &shared);
-    // The ingest stage exits right after forwarding Shutdown (or on
-    // channel disconnect), so this join cannot hang.
-    if let Ok(h) = ingest {
-        let _ = h.join();
-    }
-}
-
-/// The TCP ingest stage: read-locked pre-matching, no state mutation.
-fn tcp_ingest_main(
-    broker: Arc<RwLock<MobileBroker>>,
-    rx: Receiver<Input>,
-    stage_tx: Sender<TcpStaged>,
-    shared: Arc<Shared>,
-) {
-    for input in rx.iter() {
-        // A death notice in the stream marks the victim suspected at
-        // the transport layer too, so this broker's own dialer toward
-        // it stands down instead of redialing a hole in the overlay.
-        if let Input::FromBroker(_, msgs) = &input {
-            for m in msgs {
-                if let Message::BrokerDeath { dead } = m {
-                    shared.suspected.write().insert(*dead);
-                }
-            }
-        }
-        let staged = match input {
-            Input::FromBroker(from, msgs) if msgs.len() > 1 => {
-                let pre = broker.read().prematch(&msgs);
-                TcpStaged::Prematched(from, msgs, pre)
-            }
-            Input::Shutdown => {
-                let _ = stage_tx.send(TcpStaged::In(Input::Shutdown));
-                return;
-            }
-            i => TcpStaged::In(i),
-        };
-        if stage_tx.send(staged).is_err() {
-            return; // apply stage gone
-        }
-    }
-}
-
-/// The TCP apply stage: timers, heartbeats, and every broker mutation
-/// under the write lock.
-fn tcp_apply_main(
-    id: BrokerId,
-    broker: &RwLock<MobileBroker>,
-    initial_outs: Vec<Output>,
-    stage_rx: Receiver<TcpStaged>,
-    shared: &Arc<Shared>,
-) {
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerToken)>> = BinaryHeap::new();
-    let mut cancelled: BTreeSet<TimerToken> = BTreeSet::new();
-    let heartbeat = shared.options.heartbeat_interval;
-    let mut next_ping = Instant::now() + heartbeat;
-    // Timers re-armed by recovery (or empty on a fresh start).
-    dispatch(id, shared, &mut timers, &mut cancelled, initial_outs);
-    loop {
-        // Fire due timers first.
-        let now = Instant::now();
-        while let Some(Reverse((deadline, token))) = timers.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            timers.pop();
-            if cancelled.remove(&token) {
-                continue;
-            }
-            let outs = broker.write().handle_timer(token);
-            dispatch(id, shared, &mut timers, &mut cancelled, outs);
-        }
-        // Heartbeat every live link (the probe doubles as write-path
-        // failure detection). The peer set is the *current* link map,
-        // not the static topology — overlay repair adds edges.
-        if Instant::now() >= next_ping {
-            next_ping = Instant::now() + heartbeat;
-            let peers: Vec<BrokerId> = shared
-                .links
-                .read()
-                .get(&id)
-                .map(|m| m.keys().copied().collect())
-                .unwrap_or_default();
-            for &n in &peers {
-                send_ping(shared, id, n);
-            }
-            // Acceptor-side failure detector: the dialer of a down
-            // link detects a dead peer by redial exhaustion, but the
-            // accepting endpoint never dials — it suspects on inbound
-            // silence past the failure timeout instead.
-            if shared.options.suspicion_after.is_some() {
-                for &n in &peers {
-                    if shared.suspected.read().contains(&n) {
-                        continue;
-                    }
-                    let Some(link) = link_of(shared, id, n) else {
-                        continue;
-                    };
-                    let is_down = matches!(*link.state.lock(), LinkState::Down { .. });
-                    let heard = *link.last_heard.lock();
-                    if is_down && heard.elapsed() >= shared.options.failure_timeout {
-                        suspect_broker(shared, id, n);
-                    }
-                }
-            }
-        }
-        // Wait for the next input, timer deadline, or heartbeat tick.
-        let deadline = timers
-            .peek()
-            .map_or(next_ping, |Reverse((d, _))| (*d).min(next_ping));
-        let wait = deadline.saturating_duration_since(Instant::now());
-        let staged = match stage_rx.recv_timeout(wait) {
-            Ok(i) => i,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        };
-        let outs = match staged {
-            TcpStaged::In(Input::Shutdown) => return,
-            TcpStaged::In(Input::CreateClient(c)) => {
-                broker.write().create_client(c);
-                continue;
-            }
-            TcpStaged::In(Input::FromClient(c, op)) => {
-                if broker.read().client(c).is_none() {
-                    // The client moved away while the command was in
-                    // flight; forward to the current home.
-                    let home = shared.registry.read().homes.get(&c).copied();
-                    if let Some(h) = home {
-                        if h != id {
-                            let _ = shared.inputs.read()[&h].send(Input::FromClient(c, op));
-                        }
-                    }
-                    continue;
-                }
-                broker.write().client_op(c, op)
-            }
-            TcpStaged::In(Input::FromBroker(from, msgs)) => {
-                broker.write().handle_batch(Hop::Broker(from), msgs)
-            }
-            TcpStaged::Prematched(from, msgs, pre) => {
-                broker
-                    .write()
-                    .handle_batch_prematched(Hop::Broker(from), msgs, pre)
-            }
-        };
-        dispatch(id, shared, &mut timers, &mut cancelled, outs);
-    }
-}
-
-/// [`Transport`] adapter for one broker step on the TCP overlay: a
-/// send batch becomes one wire frame buffered on the link, deliveries
-/// and movement events fan out over the client channels, timers stay
-/// thread-local. Links written to are remembered in `touched` and
-/// flushed **once per `OutputBatch`** by [`dispatch`] — N frames, one
-/// flush syscall per destination.
-struct TcpFlush<'a> {
-    id: BrokerId,
-    shared: &'a Arc<Shared>,
-    timers: &'a mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &'a mut BTreeSet<TimerToken>,
     touched: BTreeSet<BrokerId>,
 }
 
-impl Transport for TcpFlush<'_> {
+impl BrokerLink for TcpLink {
+    fn registry(&self) -> &RwLock<Registry> {
+        &self.shared.registry
+    }
+
     fn send_batch(&mut self, to: BrokerId, msgs: Vec<Message>) {
-        send_msgs(self.shared, self.id, to, msgs);
+        send_msgs(&self.shared, self.id, to, msgs);
         self.touched.insert(to);
     }
 
-    fn deliver_batch(&mut self, client: ClientId, publications: Vec<PublicationMsg>) {
-        let reg = self.shared.registry.read();
-        if let Some(tx) = reg.deliveries.get(&client) {
-            for p in publications {
-                let _ = tx.send(p);
-            }
+    fn finish_batch(&mut self) {
+        for peer in std::mem::take(&mut self.touched) {
+            flush_link(&self.shared, self.id, peer);
         }
     }
 
-    fn control(&mut self, output: Output) {
-        match output {
-            Output::SetTimer { token, delay_ns } => {
-                self.cancelled.remove(&token);
-                self.timers.push(Reverse((
-                    Instant::now() + Duration::from_nanos(delay_ns),
-                    token,
-                )));
+    fn forward(&self, to: BrokerId, input: Input) {
+        let _ = self.shared.inputs.read()[&to].send(input);
+    }
+
+    fn tick_interval(&self) -> Option<Duration> {
+        Some(self.shared.options.heartbeat_interval)
+    }
+
+    fn tick(&mut self) {
+        let (shared, id) = (&self.shared, self.id);
+        // Heartbeat every live link (the probe doubles as write-path
+        // failure detection). The peer set is the *current* link map,
+        // not the static topology — overlay repair adds edges.
+        let peers: Vec<BrokerId> = shared
+            .links
+            .read()
+            .get(&id)
+            .map(|m| m.keys().copied().collect())
+            .unwrap_or_default();
+        for &n in &peers {
+            send_ping(shared, id, n);
+        }
+        // Acceptor-side failure detector: the dialer of a down link
+        // detects a dead peer by redial exhaustion, but the accepting
+        // endpoint never dials — it suspects on inbound silence past
+        // the failure timeout instead.
+        if shared.options.suspicion_after.is_none() {
+            return;
+        }
+        for &n in &peers {
+            if shared.suspected.read().contains(&n) {
+                continue;
             }
-            Output::CancelTimer { token } => {
-                self.cancelled.insert(token);
-            }
-            Output::MoveFinished {
-                m,
-                client,
-                committed,
-            } => {
-                let reg = self.shared.registry.read();
-                if let Some(tx) = reg.move_events.get(&client) {
-                    let _ = tx.send(MoveOutcome { m, committed });
-                }
-            }
-            Output::ClientArrived { client, .. } => {
-                self.shared.registry.write().homes.insert(client, self.id);
-            }
-            Output::Send { .. } | Output::DeliverToApp { .. } => {
-                unreachable!("flush_outputs routes batchable effects to the batch verbs")
+            let Some(link) = link_of(shared, id, n) else {
+                continue;
+            };
+            let is_down = matches!(*link.state.lock(), LinkState::Down { .. });
+            let heard = *link.last_heard.lock();
+            if is_down && heard.elapsed() >= shared.options.failure_timeout {
+                suspect_broker(shared, id, n);
             }
         }
-    }
-}
-
-fn dispatch(
-    id: BrokerId,
-    shared: &Arc<Shared>,
-    timers: &mut BinaryHeap<Reverse<(Instant, TimerToken)>>,
-    cancelled: &mut BTreeSet<TimerToken>,
-    outs: Vec<Output>,
-) {
-    let mut flush = TcpFlush {
-        id,
-        shared,
-        timers,
-        cancelled,
-        touched: BTreeSet::new(),
-    };
-    flush_outputs(&mut flush, outs);
-    let touched = std::mem::take(&mut flush.touched);
-    drop(flush);
-    for peer in touched {
-        flush_link(shared, id, peer);
     }
 }
 

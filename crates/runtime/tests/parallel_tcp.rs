@@ -49,8 +49,8 @@ fn tcp_delivers_and_moves_under_parallel_config() {
 }
 
 /// The same contention over real sockets with the pooled matching
-/// stage active: coalesced multi-message frames keep the TCP ingest
-/// stage pre-matching while movement commits take the write lock.
+/// stage active: coalesced multi-message frames are matched in batches
+/// on the broker threads while movement commits rewrite routing.
 /// Deliveries must stay duplicate-free and routing must follow the
 /// subscriber through every move.
 #[test]

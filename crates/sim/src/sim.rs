@@ -174,21 +174,6 @@ impl Sim {
         SimBuilder::default()
     }
 
-    /// Builds a simulator over `topology` with every broker using
-    /// `config`, driven by `model`, seeded by `seed`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use Sim::builder().overlay(..).options(..).network(..).seed(..).start()"
-    )]
-    pub fn new(
-        topology: Topology,
-        config: MobileBrokerConfig,
-        model: NetworkModel,
-        seed: u64,
-    ) -> Self {
-        Self::from_parts(topology, config, model, seed)
-    }
-
     fn from_parts(
         topology: Topology,
         config: MobileBrokerConfig,

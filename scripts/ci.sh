@@ -8,7 +8,10 @@
 #      vendored offline stubs under vendor/ are workspace-excluded),
 #      then the TCP runtime suites again under TRANSMOB_WIRE=json —
 #      the workspace pass exercised the default binary codec, this
-#      differential pass proves the JSON debug codec stays equivalent
+#      differential pass proves the JSON debug codec stays equivalent —
+#      then builds the perfbench package and runs its self-tests
+#      (perfbench is its own workspace, so `--workspace` cannot see a
+#      break in the APIs it calls)
 #   2. chaos smoke — seeded fault schedules per protocol (recovery
 #      tier: crash/restart link faults; churn tier: permanent broker
 #      deaths + overlay self-repair, DESIGN.md §14; cyclic tier: the
@@ -25,10 +28,10 @@
 #   5. seeded interleaving smoke for the parallel matching stage
 #      (INTERLEAVE_SEEDS scales the schedule sweep, default 64)
 #   6. TSAN tier — opt in with TSAN=1: rebuilds the parallel matching
-#      tests AND the pipelined runtime drivers (worker pool, ingest/
-#      apply broker loop) with -Zsanitizer=thread (nightly) and runs
-#      them under ThreadSanitizer; prints a skip notice when not
-#      requested or when the toolchain cannot build it
+#      tests AND the threaded runtime drivers (worker pool, broker
+#      threads, TCP reader/redial threads) with -Zsanitizer=thread
+#      (nightly) and runs them under ThreadSanitizer; prints a skip
+#      notice when not requested or when the toolchain cannot build it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +42,9 @@ cargo test --workspace -q
 # Differential codec pass: the same TCP suites over the JSON debug
 # framing (the workspace run above used the default binary codec).
 TRANSMOB_WIRE=json cargo test -p transmob-runtime -q
+# The benchmark package builds against the workspace crates' public
+# APIs; its self-tests also check the generator and the oracle.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # ---- tier 2: chaos smoke ----------------------------------------------
 if [[ "${CI_FAST:-0}" == "1" ]]; then
@@ -74,7 +80,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
     TSAN_RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer"
     if [[ -n "$HOST" ]] && RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
         cargo +nightly build -q -p transmob-pubsub -p transmob-runtime --target "$HOST" 2>/dev/null; then
-        echo "ci: TSAN tier - parallel matching + pipelined runtime under ThreadSanitizer"
+        echo "ci: TSAN tier - parallel matching + threaded runtime under ThreadSanitizer"
         RUSTFLAGS="$TSAN_RUSTFLAGS" CARGO_TARGET_DIR=target/tsan \
             TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp" \
             INTERLEAVE_SEEDS="${INTERLEAVE_SEEDS:-16}" \
